@@ -61,7 +61,39 @@ void Collector::initSweepPlan(SweepMode Mode) {
   }
 }
 
-CyclePhase Collector::sweepPhase(bool GenerationalEstimate) {
+CycleStats Collector::newCycleStats(bool WholeHeap) const {
+  CycleStats Cycle;
+  Cycle.Kind = !generational() ? CycleKind::NonGenerational
+               : WholeHeap     ? CycleKind::Full
+                               : CycleKind::Partial;
+  if (generational())
+    Cycle.AllocatedCards = H.countAllocatedCards();
+  Cycle.GcWorkers = Pool.lanes();
+  return Cycle;
+}
+
+CyclePhase Collector::tracePhase() {
+  return {GcPhase::Trace, &CycleStats::TraceNanos, [this](CycleStats &C) {
+            if (abortPhaseEntry(FaultSite::TraceAbort, GcPhase::Trace))
+              return;
+            ParallelTracer::Result R =
+                TraceEngine.trace(tracedBlackColor(), CollectorGrays);
+            C.ObjectsTraced = R.ObjectsTraced;
+            C.BytesTraced = R.BytesTraced;
+            C.TraceSteals = R.Steals;
+            C.TraceOffloads = R.Offloads;
+            C.TraceSegmentsAcquired = R.SegmentsAcquired;
+            C.TraceTermScanNanos = R.TermScanNanos;
+            C.TraceWorkerNanos = std::move(R.WorkerNanos);
+            // The eager generational sweep estimates live bytes as
+            // live-after minus allocation-colored; every other cycle uses
+            // the bytes traced.
+            if (!generational() || lazySweep())
+              C.LiveEstimateBytes = R.BytesTraced;
+          }};
+}
+
+CyclePhase Collector::sweepPhase() {
   if (lazySweep())
     return {GcPhase::PublishSweep, &CycleStats::SweepNanos,
             [this](CycleStats &C) {
@@ -75,7 +107,7 @@ CyclePhase Collector::sweepPhase(bool GenerationalEstimate) {
               C.LiveBytesAfter += P.Large.LiveBytesAfter;
             }};
   return {GcPhase::Sweep, &CycleStats::SweepNanos,
-          [this, GenerationalEstimate](CycleStats &C) {
+          [this](CycleStats &C) {
             if (abortPhaseEntry(FaultSite::SweepAbort, GcPhase::Sweep))
               return;
             ParallelSweepResult R =
@@ -85,7 +117,7 @@ CyclePhase Collector::sweepPhase(bool GenerationalEstimate) {
             C.LiveObjectsAfter += R.Total.LiveObjectsAfter;
             C.LiveBytesAfter += R.Total.LiveBytesAfter;
             C.SweepWorkerNanos = std::move(R.WorkerNanos);
-            if (GenerationalEstimate)
+            if (generational())
               C.LiveEstimateBytes =
                   R.Total.LiveBytesAfter - R.Total.AllocColoredBytes;
           }};
@@ -145,24 +177,33 @@ void Collector::requestCycle(CycleRequest Kind) {
   RequestCv.notify_all();
 }
 
+bool Collector::requestSatisfied(CycleRequest Kind, uint64_t Ticket) const {
+  // A cycle already running when the request was made does not count: a
+  // Full requested during a Partial waits for the Full the request left
+  // pending.
+  const std::atomic<uint64_t> &Done =
+      Kind == CycleRequest::Full ? LastWholeHeapDone : LastCycleDone;
+  return Done.load(std::memory_order_acquire) > Ticket;
+}
+
 void Collector::collectSync(CycleRequest Kind) {
   GENGC_ASSERT(Running, "collectSync requires a started collector");
-  uint64_t Before = completedCycles();
+  uint64_t Ticket = CyclesBegun.load(std::memory_order_acquire);
   requestCycle(Kind);
   std::unique_lock Locked(RequestMutex);
-  DoneCv.wait(Locked, [&] { return completedCycles() > Before; });
+  DoneCv.wait(Locked, [&] { return requestSatisfied(Kind, Ticket); });
 }
 
 void Collector::collectSyncCooperating(CycleRequest Kind, Mutator &M) {
   GENGC_ASSERT(Running, "collectSyncCooperating requires a started collector");
-  uint64_t Before = completedCycles();
+  uint64_t Ticket = CyclesBegun.load(std::memory_order_acquire);
   requestCycle(Kind);
   // Backoff instead of a fixed period: cycles span microseconds (idle young
   // heap) to milliseconds (full trace), so a fixed sleep is wrong at one
   // end or the other.  Cooperate before every sleep — the cycle we wait for
   // cannot finish its handshakes otherwise.
   Backoff Back(/*InitialNanos=*/10 * 1000, /*CapNanos=*/200 * 1000);
-  while (completedCycles() <= Before) {
+  while (!requestSatisfied(Kind, Ticket)) {
     M.cooperate();
     Back.pause();
   }
@@ -374,10 +415,16 @@ void Collector::abortCycle(CycleStats &Cycle) {
   runVerifier(VerifyScope::Concurrent);
 }
 
-uint64_t Collector::waitWorldStoppedBounded(uint64_t Epoch) {
-  // Same accounting loop as StwCollector::waitWorldStopped, with a
-  // deadline: a thread that blew through every handshake grace period gets
-  // its roots shaded on its behalf and is counted stopped.
+uint64_t Collector::waitWorldStoppedBounded(uint64_t Epoch, bool Degraded) {
+  // A mutator counts as stopped when it parked itself AND shaded its roots
+  // for this very epoch (a thread still asleep from the previous pause has
+  // stale shading and must not be trusted until it re-shades), or when it
+  // is blocked (we shade for it).  The registry can change while we wait:
+  // re-snapshot every pass.  With a deadline, a thread that blew through
+  // every handshake grace period gets its roots shaded on its behalf and
+  // is counted stopped.
+  bool Bounded =
+      Degraded || Config.Watchdog.Policy == WatchdogPolicy::Escalate;
   uint64_t Deadline = Config.Watchdog.DeadlineNanos != 0
                           ? Config.Watchdog.DeadlineNanos
                           : 50'000'000;
@@ -394,7 +441,7 @@ uint64_t Collector::waitWorldStoppedBounded(uint64_t Epoch) {
     if (Accounted >= Total)
       return 0;
     uint64_t Waited = nowNanos() - Begin;
-    if (Waited >= Deadline) {
+    if (Bounded && Waited >= Deadline) {
       uint64_t Forced = 0;
       Registry.forEach([&](Mutator &M) {
         if (!M.stwParkedFor(Epoch) && !M.markRootsIfBlockedForStw()) {
@@ -415,48 +462,47 @@ uint64_t Collector::waitWorldStoppedBounded(uint64_t Epoch) {
   }
 }
 
-CycleStats Collector::runDegradedCycle(CycleRequest Kind) {
-  (void)Kind; // The fallback always collects the whole heap.
-  CycleStats Cycle;
-  Cycle.Kind = CycleKind::NonGenerational;
-  Cycle.Degraded = true;
-  Cycle.GcWorkers = Pool.lanes();
+CycleStats Collector::runStopTheWorldCycle(bool Degraded) {
+  CycleStats Cycle = newCycleStats(/*WholeHeap=*/true);
+  Cycle.Degraded = Degraded;
 
   runCyclePhases(
       State,
-      // The residue drain runs before StopWorld is raised, as in the STW
-      // comparator.
+      // The residue drain runs before StopWorld is raised — it contends
+      // only on shard/stash mutexes, so running it concurrently is safe.
       withResiduePhase({
           {GcPhase::Clear, &CycleStats::ClearNanos,
-           [this](CycleStats &C) {
-             State.switchAllocationClearColors();
+           [this, Degraded](CycleStats &C) {
+             // Whole-heap set-up first: the generational InitFullCollection
+             // recolors under the PRE-toggle allocation color, as in the
+             // concurrent Full cycle.
+             initWholeHeapCycle(C);
+
+             // Stop the world BEFORE the toggle.  A mutator still running
+             // after it allocates in the new allocation color, which the
+             // trace treats as black; an object it links from another such
+             // object would hide whatever clear-colored object it points
+             // to.  Roots are shaded under the pre-toggle colors; gray
+             // survives the toggle.  StopWorld goes up before the epoch bump:
+             // a parker that reads the new epoch then cannot also see the
+             // flag of the previous pause still down, leave its park loop,
+             // and be counted stopped while it mutates.
+             State.StopWorld.store(true, std::memory_order_seq_cst);
              uint64_t Epoch =
                  State.StopEpoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-             State.StopWorld.store(true, std::memory_order_seq_cst);
-             C.ForcedMutators += waitWorldStoppedBounded(Epoch);
+             C.ForcedMutators += waitWorldStoppedBounded(Epoch, Degraded);
+             State.switchAllocationClearColors();
            }},
 
           {GcPhase::Mark, &CycleStats::MarkNanos,
            [this](CycleStats &) { Roots.markAll(CollectorGrays); }},
 
-          {GcPhase::Trace, &CycleStats::TraceNanos,
-           [this](CycleStats &C) {
-             ParallelTracer::Result TraceResult =
-                 TraceEngine.trace(State.allocationColor(), CollectorGrays);
-             C.ObjectsTraced = TraceResult.ObjectsTraced;
-             C.BytesTraced = TraceResult.BytesTraced;
-             C.LiveEstimateBytes = TraceResult.BytesTraced;
-             C.TraceSteals = TraceResult.Steals;
-             C.TraceOffloads = TraceResult.Offloads;
-             C.TraceSegmentsAcquired = TraceResult.SegmentsAcquired;
-             C.TraceTermScanNanos = TraceResult.TermScanNanos;
-             C.TraceWorkerNanos = std::move(TraceResult.WorkerNanos);
-           }},
-
-          sweepPhase(/*GenerationalEstimate=*/false),
+          tracePhase(),
+          sweepPhase(),
       }),
       Cycle, Obs.laneRing(0), verifyHook(/*FullCycle=*/true));
 
+  // runCyclePhases already published Idle; resume the world after it.
   State.StopWorld.store(false, std::memory_order_seq_cst);
   return Cycle;
 }
@@ -486,13 +532,18 @@ void Collector::runOneCycle(CycleRequest Kind) {
   AbortEscalation = 0;
 
   uint64_t Index = CyclesDone.load(std::memory_order_relaxed);
+  // Numbered before any phase runs: a waiter that read CyclesBegun below
+  // this number made its request before this cycle did any work.
+  uint64_t BeginNumber =
+      CyclesBegun.fetch_add(1, std::memory_order_acq_rel) + 1;
   EventRing *Ring = Obs.laneRing(0);
   uint64_t CycleStartNanos = Ring ? nowNanos() : 0;
 
   StopWatch Watch;
   Watch.start();
   bool WasDegraded = InDegradedMode;
-  CycleStats Cycle = WasDegraded ? runDegradedCycle(Kind) : runCycle(Kind);
+  CycleStats Cycle =
+      WasDegraded ? runStopTheWorldCycle(/*Degraded=*/true) : runCycle(Kind);
   if (AbortCycleFlag)
     abortCycle(Cycle);
   Cycle.DurationNanos = Watch.stop();
@@ -553,12 +604,16 @@ void Collector::runOneCycle(CycleRequest Kind) {
   //  1. the statistics, under StatsMutex (the cycle-publication lock);
   //  2. observer callbacks, with no collector lock held — they may call
   //     statsSnapshot() or requestCycle() freely;
-  //  3. the completed-cycle count, under RequestMutex so collectSync's
+  //  3. the completed-cycle count, then the begin numbers that
+  //     requestSatisfied reads, under RequestMutex so collectSync's
   //     predicate and wakeup cannot miss each other.
   // The 1-before-3 ordering (release increment, acquire read) guarantees
   // that any thread observing completedCycles() >= N sees at least N fully
   // published cycles in statsSnapshot(); 2-before-3 guarantees every
   // observer ran before synchronous waiters on this cycle are released.
+  // Within 3, the count goes first: collectSyncCooperating polls the begin
+  // numbers without the lock, and a caller it releases must already see
+  // this cycle in completedCycles().
   {
     std::scoped_lock Locked(StatsMutex);
     Stats.Cycles.push_back(Cycle);
@@ -568,6 +623,9 @@ void Collector::runOneCycle(CycleRequest Kind) {
   {
     std::scoped_lock Locked(RequestMutex);
     CyclesDone.fetch_add(1, std::memory_order_release);
+    LastCycleDone.store(BeginNumber, std::memory_order_release);
+    if (Cycle.Kind != CycleKind::Partial)
+      LastWholeHeapDone.store(BeginNumber, std::memory_order_release);
   }
   DoneCv.notify_all();
 }

@@ -27,13 +27,12 @@
 #include <thread>
 
 #include "gc/CyclePhase.h"
-#include "gc/CycleStats.h"
 #include "gc/HeapVerifier.h"
 #include "gc/ParallelTrace.h"
+#include "obs/CycleStats.h"
 #include "obs/GcObserver.h"
 #include "obs/ObsRegistry.h"
 #include "gc/Sweeper.h"
-#include "gc/Tracer.h"
 #include "gc/Trigger.h"
 #include "gc/WorkerPool.h"
 #include "heap/Heap.h"
@@ -73,22 +72,21 @@ struct CollectorConfig {
   bool CardSummaryScan = true;
 
   /// Number of GC worker lanes for the parallel cycle phases (card scan,
-  /// trace, sweep).  1 (the default) spawns no pool threads and runs the
-  /// historical single-threaded algorithms bit-identically; N > 1 spawns
-  /// N - 1 persistent pool threads that assist the collector thread.
-  /// Mutator-facing machinery (handshakes, write barrier, color toggle) is
-  /// unaffected by this knob.
+  /// trace, sweep).  1 (the default) spawns no pool threads: the phases
+  /// run their one algorithm as a pool of one, on the collector thread;
+  /// N > 1 spawns N - 1 persistent pool threads that assist the collector
+  /// thread.  Mutator-facing machinery (handshakes, write barrier, color
+  /// toggle) is unaffected by this knob.
   unsigned GcThreads = 1;
 
   /// Trace prefetch window depth: each trace lane pops up to this many
   /// gray refs ahead and software-prefetches their color byte and header
   /// line before tracing the current one, overlapping the mark loop's
-  /// cache misses (see DESIGN.md §17).  0 disables the window and traces
-  /// in the exact historical LIFO order — GcThreads = 1 with depth 0 is
-  /// bit-identical to the pre-window engine.  Validated to at most
-  /// Tracer::MaxPrefetchDepth (64); forced to 0 in builds where the
-  /// GENGC_PREFETCH probe failed.  All trace statistics are
-  /// order-independent, so any depth produces identical CycleStats.
+  /// cache misses (see DESIGN.md §17).  0 and 1 trace each ref as it is
+  /// popped, in LIFO order.  Validated to at most Tracer::MaxPrefetchDepth
+  /// (64); forced to 0 in builds where the GENGC_PREFETCH probe failed.
+  /// The traced set is fixed by the color CAS and all trace statistics
+  /// are order-independent, so any depth produces identical CycleStats.
   unsigned PrefetchDepth = 4;
 
   /// Observability subsystem configuration (see obs/Event.h).  Metrics are
@@ -107,7 +105,7 @@ struct CollectorConfig {
   bool VerifyHeap = false;
 
   /// When reclamation happens (gc/SweepPolicy.h): Eager keeps the
-  /// historical whole-heap Sweep phase; Lazy ends the cycle by publishing
+  /// whole-heap Sweep phase; Lazy ends the cycle by publishing
   /// blocks needs-sweep, letting mutators sweep on demand and the
   /// collector drain the residue.  Combined with the collector's mode and
   /// OldestAge into the single SweepPlan built by Collector::initSweepPlan
@@ -136,13 +134,16 @@ public:
   /// Asks for a cycle of (at least) \p Kind; returns immediately.
   void requestCycle(CycleRequest Kind);
 
-  /// Requests a cycle and blocks until one completes.  Must be called from
-  /// a thread that is NOT a registered mutator (e.g. a test driver);
-  /// mutator threads use collectSyncCooperating instead.
+  /// Requests a cycle and blocks until a cycle that began after the
+  /// request, and is at least \p Kind (Full: a whole-heap cycle), completed.
+  /// An aborted cycle completes too (CycleStats::Aborted; it forces its
+  /// successor Full).  Must be called from a thread that is NOT a
+  /// registered mutator (e.g. a test driver); mutator threads use
+  /// collectSyncCooperating instead.
   void collectSync(CycleRequest Kind);
 
-  /// Requests a cycle and waits for completion while cooperating with
-  /// handshakes on behalf of \p M (safe to call from a mutator thread).
+  /// collectSync, cooperating with handshakes on behalf of \p M while it
+  /// waits (safe to call from a mutator thread).
   void collectSyncCooperating(CycleRequest Kind, Mutator &M);
 
   /// MemoryWaiter: a mutator ran out of memory.
@@ -238,20 +239,24 @@ protected:
   /// GenerationalCollector overrides to keep the old generation black.
   virtual void abortRecolor();
 
-  /// One cycle of the cooperating-STW degraded fallback: toggle, stop the
-  /// world with a forced-progress bound (waitWorldStoppedBounded), mark
-  /// global roots, trace, sweep.  The base version is the whole-heap
-  /// non-generational cycle; GenerationalCollector overrides with a full
-  /// generational cycle (init-full before the toggle, Black trace).
-  virtual CycleStats runDegradedCycle(CycleRequest Kind);
+  /// One whole-heap cycle with the world stopped: whole-heap set-up
+  /// (initWholeHeapCycle), toggle, stop the world, mark global roots,
+  /// trace, sweep, resume.  Every cycle of the STW comparator, and with
+  /// \p Degraded set, every cycle of the cooperating-STW fallback of the
+  /// on-the-fly collectors.  What differs between collectors comes from
+  /// the hooks: tracedBlackColor(), initWholeHeapCycle() and the sweep
+  /// plan's mode (generational()).
+  CycleStats runStopTheWorldCycle(bool Degraded);
 
-  /// StwCollector::waitWorldStopped with a deadline: mutators that fail to
-  /// park (or declare themselves blocked) within roughly DeadlineNanos x
-  /// EscalateAfterFires are force-shaded (Mutator::forceShadeForStw) and
-  /// counted stopped.  Returns the number forced — 0 means every thread
-  /// parked voluntarily, the signal that handshakes work again and
-  /// on-the-fly collection can resume.
-  uint64_t waitWorldStoppedBounded(uint64_t Epoch);
+  /// Blocks until every registered mutator is parked-and-shaded for stop
+  /// \p Epoch or blocked (with its roots shaded either way).  Bounded when
+  /// \p Degraded or under WatchdogPolicy::Escalate: mutators that fail to
+  /// park within roughly DeadlineNanos x EscalateAfterFires are
+  /// force-shaded (Mutator::forceShadeForStw) and counted stopped.
+  /// Returns the number forced — 0 means every thread parked voluntarily,
+  /// the signal that handshakes work again and on-the-fly collection can
+  /// resume.
+  uint64_t waitWorldStoppedBounded(uint64_t Epoch, bool Degraded);
 
   /// Visits every size-class cell and large-object start in the heap (a
   /// single-threaded block-table walk; only the abort unwind's recolor
@@ -297,11 +302,29 @@ protected:
   /// Sums the per-cycle gray counters into \p Stats (young survivors).
   void sumGrayCounters(CycleStats &Stats);
 
-  /// The color that marks "traced by this cycle" for the verifier's
-  /// post-trace reachability check.  The DLG and STW collectors trace with
-  /// the allocation color; the generational collector overrides this with
-  /// Color::Black.
+  /// The color that marks "traced by this cycle": the trace's black and
+  /// the verifier's post-trace reachability check.  The DLG and STW
+  /// collectors trace with the allocation color; the generational
+  /// collector overrides this with Color::Black.
   virtual Color tracedBlackColor() const { return State.allocationColor(); }
+
+  /// Whole-heap set-up, run at the start of the Clear phase of every
+  /// whole-heap cycle, before the color toggle.  Nothing for DLG/STW; the
+  /// generational collector counts dirty cards and runs its Figure 3 /
+  /// Figure 6 InitFullCollection.
+  virtual void initWholeHeapCycle(CycleStats &) {}
+
+  /// True for the generational collector (its sweep plan's mode): its
+  /// cycles are Full or Partial rather than NonGenerational, record
+  /// AllocatedCards, and estimate live bytes from the eager sweep.
+  bool generational() const {
+    return Plan.Mode != SweepMode::NonGenerational;
+  }
+
+  /// A fresh statistics record for one cycle of this collector: kind,
+  /// worker lanes and (generational) allocated cards.  \p WholeHeap picks
+  /// Full over Partial for the generational collector.
+  CycleStats newCycleStats(bool WholeHeap) const;
 
   /// The AfterPhase callback for runCyclePhases: runs the verifier at every
   /// phase boundary with the sound scope for that boundary.  Returns an
@@ -318,14 +341,19 @@ protected:
   /// collectors no longer assemble sweep configurations at call sites.
   void initSweepPlan(SweepMode Mode);
 
+  /// The Trace phase of every cycle: traces with tracedBlackColor() and
+  /// copies the engine's result into the cycle's statistics.  Skipped
+  /// through abortPhaseEntry(TraceAbort).  Sets LiveEstimateBytes to the
+  /// bytes traced, unless the eager sweep computes the generational
+  /// estimate instead.
+  CyclePhase tracePhase();
+
   /// The reclamation phase of the cycle pipeline, from the plan: the
-  /// historical eager Sweep (whole-heap sweepParallel) or the lazy
-  /// PublishSweep.  Both charge CycleStats::SweepNanos, so eager-vs-lazy
-  /// benches compare the visible sweep-phase cost directly.
-  /// \p GenerationalEstimate selects the generational live-estimate
-  /// formula (LiveBytesAfter - AllocColoredBytes) on the eager path; lazy
-  /// cycles leave LiveEstimateBytes to the trace phase.
-  CyclePhase sweepPhase(bool GenerationalEstimate);
+  /// eager Sweep (whole-heap sweepParallel) or the lazy PublishSweep.
+  /// Both charge CycleStats::SweepNanos, so eager-vs-lazy benches compare
+  /// the visible sweep-phase cost directly.  The eager generational sweep
+  /// computes the live estimate (LiveBytesAfter - AllocColoredBytes).
+  CyclePhase sweepPhase();
 
   /// The SweepResidue phase (lazy only): drains every block the previous
   /// cycle published that no mutator claimed, and harvests the sweep
@@ -379,6 +407,10 @@ private:
   void threadLoop();
   void runOneCycle(CycleRequest Kind);
 
+  /// True once a cycle numbered above \p Ticket (CyclesBegun read before
+  /// the request) that is at least \p Kind completed.
+  bool requestSatisfied(CycleRequest Kind, uint64_t Ticket) const;
+
   /// Invokes every registered observer for \p Cycle.  Runs on the collector
   /// thread with no collector lock held (only ObserverMutex, which
   /// serializes callbacks with add/removeObserver — hence observers must
@@ -396,6 +428,14 @@ private:
 
   std::atomic<uint64_t> CyclesDone{0};
   std::atomic<uint64_t> MemoryWaits{0};
+
+  /// Cycles begun so far; each cycle takes the next number as it begins.
+  std::atomic<uint64_t> CyclesBegun{0};
+  /// Begin numbers of the latest completed cycle, and of the latest
+  /// completed whole-heap cycle.  Written under RequestMutex after
+  /// CyclesDone is bumped; read by requestSatisfied.
+  std::atomic<uint64_t> LastCycleDone{0};
+  std::atomic<uint64_t> LastWholeHeapDone{0};
 
   /// An aborted cycle consumed its card / remembered-set information
   /// mid-flight; rather than reconstruct per-generation records, the next

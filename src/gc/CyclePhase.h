@@ -26,7 +26,7 @@
 #include <functional>
 #include <vector>
 
-#include "gc/CycleStats.h"
+#include "obs/CycleStats.h"
 #include "obs/EventRing.h"
 #include "runtime/CollectorState.h"
 #include "support/Timer.h"

@@ -30,9 +30,7 @@ DlgCollector::DlgCollector(Heap &H, CollectorState &S,
 
 CycleStats DlgCollector::runCycle(CycleRequest Kind) {
   (void)Kind; // Every DLG cycle collects the whole heap.
-  CycleStats Cycle;
-  Cycle.Kind = CycleKind::NonGenerational;
-  Cycle.GcWorkers = Pool.lanes();
+  CycleStats Cycle = newCycleStats(/*WholeHeap=*/true);
 
   runCyclePhases(
       State,
@@ -60,24 +58,10 @@ CycleStats DlgCollector::runCycle(CycleRequest Kind) {
            }},
 
           // trace: "black" is the allocation color (Remark 5.1 toggle).
-          {GcPhase::Trace, &CycleStats::TraceNanos,
-           [this](CycleStats &C) {
-             if (abortPhaseEntry(FaultSite::TraceAbort, GcPhase::Trace))
-               return;
-             ParallelTracer::Result TraceResult =
-                 TraceEngine.trace(State.allocationColor(), CollectorGrays);
-             C.ObjectsTraced = TraceResult.ObjectsTraced;
-             C.BytesTraced = TraceResult.BytesTraced;
-             C.LiveEstimateBytes = TraceResult.BytesTraced;
-             C.TraceSteals = TraceResult.Steals;
-             C.TraceOffloads = TraceResult.Offloads;
-             C.TraceSegmentsAcquired = TraceResult.SegmentsAcquired;
-             C.TraceTermScanNanos = TraceResult.TermScanNanos;
-             C.TraceWorkerNanos = std::move(TraceResult.WorkerNanos);
-           }},
+          tracePhase(),
 
           // reclamation: eager whole-heap sweep, or lazy publish.
-          sweepPhase(/*GenerationalEstimate=*/false),
+          sweepPhase(),
       }),
       Cycle, Obs.laneRing(0), verifyHook(/*FullCycle=*/true),
       [this] { return abortPending(); });

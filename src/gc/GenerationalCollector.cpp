@@ -196,59 +196,12 @@ void GenerationalCollector::abortRecolor() {
   });
 }
 
-CycleStats GenerationalCollector::runDegradedCycle(CycleRequest Kind) {
-  (void)Kind; // The fallback always runs a full collection.
-  CycleStats Cycle;
-  Cycle.Kind = CycleKind::Full;
-  Cycle.AllocatedCards = H.countAllocatedCards();
-  Cycle.GcWorkers = Pool.lanes();
-  Cycle.Degraded = true;
-
-  runCyclePhases(
-      State,
-      withResiduePhase({
-          {GcPhase::Clear, &CycleStats::ClearNanos,
-           [this](CycleStats &C) {
-             // Full-collection init first (it recolors under the
-             // PRE-toggle allocation color, as in the concurrent Full
-             // cycle), then toggle, then stop the world with the bounded
-             // wait.
-             C.DirtyCardsAtStart = H.cards().countDirty();
-             if (Config.Aging)
-               initFullCollectionAging();
-             else
-               initFullCollectionSimple();
-             State.switchAllocationClearColors();
-             uint64_t Epoch =
-                 State.StopEpoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-             State.StopWorld.store(true, std::memory_order_seq_cst);
-             C.ForcedMutators += waitWorldStoppedBounded(Epoch);
-           }},
-
-          {GcPhase::Mark, &CycleStats::MarkNanos,
-           [this](CycleStats &) { Roots.markAll(CollectorGrays); }},
-
-          {GcPhase::Trace, &CycleStats::TraceNanos,
-           [this](CycleStats &C) {
-             ParallelTracer::Result TraceResult =
-                 TraceEngine.trace(Color::Black, CollectorGrays);
-             C.ObjectsTraced = TraceResult.ObjectsTraced;
-             C.BytesTraced = TraceResult.BytesTraced;
-             C.TraceSteals = TraceResult.Steals;
-             C.TraceOffloads = TraceResult.Offloads;
-             C.TraceSegmentsAcquired = TraceResult.SegmentsAcquired;
-             C.TraceTermScanNanos = TraceResult.TermScanNanos;
-             C.TraceWorkerNanos = std::move(TraceResult.WorkerNanos);
-             if (lazySweep())
-               C.LiveEstimateBytes = TraceResult.BytesTraced;
-           }},
-
-          sweepPhase(/*GenerationalEstimate=*/true),
-      }),
-      Cycle, Obs.laneRing(0), verifyHook(/*FullCycle=*/true));
-
-  State.StopWorld.store(false, std::memory_order_seq_cst);
-  return Cycle;
+void GenerationalCollector::initWholeHeapCycle(CycleStats &Cycle) {
+  Cycle.DirtyCardsAtStart = H.cards().countDirty();
+  if (Config.Aging)
+    initFullCollectionAging();
+  else
+    initFullCollectionSimple();
 }
 
 void GenerationalCollector::recolorTracedToAllocation() {
@@ -456,10 +409,7 @@ void GenerationalCollector::clearCardsAging(CycleStats &Cycle) {
 
 CycleStats GenerationalCollector::runCycle(CycleRequest Kind) {
   bool Full = Kind == CycleRequest::Full;
-  CycleStats Cycle;
-  Cycle.Kind = Full ? CycleKind::Full : CycleKind::Partial;
-  Cycle.AllocatedCards = H.countAllocatedCards();
-  Cycle.GcWorkers = Pool.lanes();
+  CycleStats Cycle = newCycleStats(Full);
 
   runCyclePhases(
       State,
@@ -467,13 +417,8 @@ CycleStats GenerationalCollector::runCycle(CycleRequest Kind) {
           // clear stage (Figure 2 / Figure 5).
           {GcPhase::Clear, &CycleStats::ClearNanos,
            [&](CycleStats &C) {
-             if (Full) {
-               C.DirtyCardsAtStart = H.cards().countDirty();
-               if (Config.Aging)
-                 initFullCollectionAging();
-               else
-                 initFullCollectionSimple();
-             }
+             if (Full)
+               initWholeHeapCycle(C);
              handshakeOrAbort(HandshakeStatus::Sync1);
            }},
 
@@ -513,30 +458,12 @@ CycleStats GenerationalCollector::runCycle(CycleRequest Kind) {
            }},
 
           // trace: black marks promoted/old objects in both variants.
-          {GcPhase::Trace, &CycleStats::TraceNanos,
-           [&](CycleStats &C) {
-             if (abortPhaseEntry(FaultSite::TraceAbort, GcPhase::Trace))
-               return;
-             ParallelTracer::Result TraceResult =
-                 TraceEngine.trace(Color::Black, CollectorGrays);
-             C.ObjectsTraced = TraceResult.ObjectsTraced;
-             C.BytesTraced = TraceResult.BytesTraced;
-             C.TraceSteals = TraceResult.Steals;
-             C.TraceOffloads = TraceResult.Offloads;
-             C.TraceSegmentsAcquired = TraceResult.SegmentsAcquired;
-             C.TraceTermScanNanos = TraceResult.TermScanNanos;
-             C.TraceWorkerNanos = std::move(TraceResult.WorkerNanos);
-             // Lazy cycles have no eager sweep to compute the
-             // live-after-minus-new estimate from; fall back to bytes
-             // traced, like the non-generational collectors.
-             if (lazySweep())
-               C.LiveEstimateBytes = TraceResult.BytesTraced;
-           }},
+          tracePhase(),
 
           // reclamation: eager whole-heap sweep, or lazy publish.  The
           // eager path computes the generational live estimate
           // (LiveBytesAfter - AllocColoredBytes).
-          sweepPhase(/*GenerationalEstimate=*/true),
+          sweepPhase(),
       }),
       Cycle, Obs.laneRing(0), verifyHook(Full),
       [this] { return abortPending(); });

@@ -52,11 +52,13 @@ protected:
   /// the forced-Full successor cycle sweeps them.
   void abortRecolor() override;
 
-  /// The degraded fallback runs a FULL generational cycle under a stopped
-  /// world — init-full recolor before the toggle, Black trace — so the
-  /// verifier's Black-keyed checks and the aging invariants keep holding
-  /// while the collector rides out the stall.
-  CycleStats runDegradedCycle(CycleRequest Kind) override;
+  /// Whole-heap set-up of the concurrent Full cycle and of the degraded
+  /// stop-the-world fallback alike: count the dirty cards, then Figure 3 /
+  /// Figure 6 InitFullCollection, before the toggle.  The fallback is thus
+  /// a FULL generational cycle with a Black trace, so the verifier's
+  /// Black-keyed checks and the aging invariants keep holding while the
+  /// collector rides out a stall.
+  void initWholeHeapCycle(CycleStats &Cycle) override;
 
 private:
   /// Figure 3 InitFullCollection: recolor black/gray objects to the

@@ -16,7 +16,7 @@ using namespace gengc;
 ParallelTracer::ParallelTracer(Heap &H, CollectorState &S, GcWorkerPool &Pool)
     : H(H), State(S), Pool(Pool) {
   for (unsigned Lane = 0; Lane < Pool.lanes(); ++Lane)
-    Engines.push_back(std::make_unique<Tracer>(H, S, &SegPool));
+    Engines.push_back(std::make_unique<Tracer>(H, S, SegPool));
 }
 
 void ParallelTracer::setAgingThreshold(uint8_t OldestAge) {
@@ -42,23 +42,8 @@ ParallelTracer::Result ParallelTracer::trace(Color BlackColor,
   R.WorkerNanos.assign(Lanes, 0);
   uint64_t AcquiresAtStart = SegPool.acquires();
 
-  if (Lanes == 1) {
-    // The historical single-threaded algorithm, verbatim — GcThreads = 1
-    // must stay bit-identical to the pre-parallel collector.
-    uint64_t Start = nowNanos();
-    Tracer::Result Single = Engines[0]->trace(BlackColor, Counters);
-    R.WorkerNanos[0] = nowNanos() - Start;
-    R.ObjectsTraced = Single.ObjectsTraced;
-    R.BytesTraced = Single.BytesTraced;
-    R.Passes = Single.Passes;
-    R.TermScanNanos = Single.TermScanNanos;
-    R.SegmentsAcquired = SegPool.acquires() - AcquiresAtStart;
-    if (EventRing *Ring = Obs ? Obs->laneRing(0) : nullptr)
-      Ring->emit(ObsEventKind::TraceSpan, Start, R.WorkerNanos[0],
-                 R.ObjectsTraced);
-    return R;
-  }
-
+  // One lane runs this same loop as a pool of one: GcWorkerPool::run and
+  // parallelChunks call it directly.
   PageTouchTracker &Pages = H.pages();
   const AtomicByteTable &Colors = H.colors();
   std::vector<ObjectRef> Pending;
@@ -67,7 +52,8 @@ ParallelTracer::Result ParallelTracer::trace(Color BlackColor,
   for (;;) {
     if (!Pending.empty()) {
       // Fan the pending grays out as stealable segments and let every lane
-      // work-steal until global quiescence.
+      // work-steal until global quiescence.  A lone lane takes them onto
+      // its own stack: it has nobody to share them with.
       TraceWorkList Shared;
       for (size_t I = 0; I < Pending.size(); I += TraceSegment::Capacity) {
         size_t E = std::min(I + size_t(TraceSegment::Capacity),
@@ -75,7 +61,10 @@ ParallelTracer::Result ParallelTracer::trace(Color BlackColor,
         TraceSegment *S = SegPool.acquire();
         S->Count = uint32_t(E - I);
         std::copy(Pending.begin() + I, Pending.begin() + E, S->Refs);
-        Shared.push(S);
+        if (Lanes > 1)
+          Shared.push(S);
+        else
+          Engines[0]->attachSegment(S);
       }
       Pending.clear();
       std::atomic<unsigned> NumIdle{0};
@@ -111,9 +100,8 @@ ParallelTracer::Result ParallelTracer::trace(Color BlackColor,
     // block carved after the range snapshot holds only freshly allocated
     // (allocation-colored) objects, and a block freed during the scan held
     // only unmarked free cells — so skipping never-carved space finds
-    // every gray the historical full-table leader scan would have
-    // (DESIGN.md §17).  Grays it finds (rare) go back through the parallel
-    // drain above.
+    // every gray a scan of the whole color table would (DESIGN.md §17).
+    // Grays it finds (rare) go back through the parallel drain above.
     ++R.Passes;
     uint64_t ScanStart = nowNanos();
     std::vector<std::pair<size_t, size_t>> Chunks; // color-entry ranges

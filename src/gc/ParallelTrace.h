@@ -5,22 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The parallel trace stage.  Each GcWorkerPool lane runs its own Tracer
-/// engine over a private segmented gray stack; surplus work moves between
-/// lanes as whole TraceSegments through a shared TraceWorkList (steal = pop
-/// one segment pointer).  All mutator-facing machinery is untouched:
-/// mutators shade through the same write barriers into the same shared gray
-/// buffer, every color transition funnels through Heap::casColor, and the
-/// termination protocol is the paper-faithful one the single-threaded
-/// tracer used — wait out in-flight shades, drain the gray buffer, then run
-/// verification scans of the color side-table until one finds no gray
-/// object.  The verification scan itself is sharded across the pool lanes
-/// over the allocated block ranges (DESIGN.md §17 sketches why that is
-/// equivalent to the historical full-table leader scan).
+/// The trace stage, the one driver for every lane count.  Each
+/// GcWorkerPool lane runs its own Tracer engine over a private segmented
+/// gray stack; surplus work moves between lanes as whole TraceSegments
+/// through a shared TraceWorkList (steal = pop one segment pointer).  All
+/// mutator-facing machinery is untouched: mutators shade through the same
+/// write barriers into the same shared gray buffer, and every color
+/// transition funnels through Heap::casColor.  Termination follows the
+/// paper: drain, wait out in-flight shades, drain the gray buffer, then
+/// run verification scans of the color side-table until one finds no gray
+/// object.  The verification scan is sharded across the pool lanes over
+/// the allocated block ranges (DESIGN.md §17 sketches why that finds every
+/// gray a whole-table scan would).
 ///
-/// With one lane, ParallelTracer delegates to the historical Tracer::trace
-/// verbatim, so GcThreads = 1 is bit-identical to the single-threaded
-/// collector.
+/// One lane is a pool of one: the same loop, run on the collector thread
+/// with no hand-off, whose drain never offloads work to itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,10 +45,6 @@ namespace gengc {
 /// mid-cycle.
 class TraceWorkList {
 public:
-  /// Number of object refs per stealable unit (segment capacity); kept
-  /// under its historical name for the offload-threshold arithmetic.
-  static constexpr size_t ChunkRefs = TraceSegment::Capacity;
-
   /// Deposits one segment for stealing; the list takes ownership of the
   /// pointer until a thief attaches it to its own stack.
   void push(TraceSegment *S) {
@@ -132,7 +127,9 @@ public:
   /// lane rings.  Called once at collector construction.
   void setObs(ObsRegistry *Registry);
 
-  /// Traces to completion (see Tracer::trace for the color contract).
+  /// Traces to completion.  \p BlackColor marks a fully traced object (see
+  /// Tracer::drainShared); shades of sons from the clear color are counted
+  /// in \p Counters.
   Result trace(Color BlackColor, GrayCounters &Counters);
 
   /// The collector-wide segment pool (metrics gauges).

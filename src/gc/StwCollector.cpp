@@ -6,10 +6,6 @@
 
 #include "gc/StwCollector.h"
 
-#include <thread>
-
-#include "gc/CyclePhase.h"
-
 using namespace gengc;
 
 StwCollector::StwCollector(Heap &H, CollectorState &S,
@@ -24,82 +20,4 @@ StwCollector::StwCollector(Heap &H, CollectorState &S,
   State.Barrier.store(BarrierKind::NonGenerational,
                       std::memory_order_release);
   initSweepPlan(SweepMode::NonGenerational);
-}
-
-void StwCollector::waitWorldStopped(uint64_t Epoch) {
-  // A mutator counts as stopped when it parked itself AND shaded its roots
-  // for this very epoch (a thread still asleep from the previous pause has
-  // stale shading and must not be trusted until it re-shades), or when it
-  // is blocked (we shade for it).  The registry can change while we wait:
-  // re-snapshot every pass.
-  for (unsigned Spin = 0;; ++Spin) {
-    size_t Total = 0;
-    size_t Accounted = 0;
-    Registry.forEach([&](Mutator &M) {
-      ++Total;
-      if (M.stwParkedFor(Epoch) || M.markRootsIfBlockedForStw())
-        ++Accounted;
-    });
-    if (Accounted >= Total)
-      return;
-    if (Spin < 64)
-      std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(std::chrono::microseconds(20));
-  }
-}
-
-CycleStats StwCollector::runCycle(CycleRequest Kind) {
-  (void)Kind; // Always the whole heap.
-  CycleStats Cycle;
-  Cycle.Kind = CycleKind::NonGenerational;
-  Cycle.GcWorkers = Pool.lanes();
-
-  runCyclePhases(
-      State,
-      // The residue drain runs before StopWorld is raised — it contends
-      // only on shard/stash mutexes, so running it concurrently is safe.
-      withResiduePhase({
-          {GcPhase::Clear, &CycleStats::ClearNanos,
-           [this](CycleStats &C) {
-             State.switchAllocationClearColors();
-
-             // Stop the world.  The epoch bump follows the toggle, so a
-             // parker that observes the new epoch also sees the new colors
-             // when it (re-)shades its roots.  Under the Escalate policy
-             // the wait is bounded: a thread that never parks gets its
-             // roots force-shaded instead of hanging the collector.
-             uint64_t Epoch =
-                 State.StopEpoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-             State.StopWorld.store(true, std::memory_order_seq_cst);
-             if (Config.Watchdog.Policy == WatchdogPolicy::Escalate)
-               C.ForcedMutators += waitWorldStoppedBounded(Epoch);
-             else
-               waitWorldStopped(Epoch);
-           }},
-
-          {GcPhase::Mark, &CycleStats::MarkNanos,
-           [this](CycleStats &) { Roots.markAll(CollectorGrays); }},
-
-          {GcPhase::Trace, &CycleStats::TraceNanos,
-           [this](CycleStats &C) {
-             ParallelTracer::Result TraceResult =
-                 TraceEngine.trace(State.allocationColor(), CollectorGrays);
-             C.ObjectsTraced = TraceResult.ObjectsTraced;
-             C.BytesTraced = TraceResult.BytesTraced;
-             C.LiveEstimateBytes = TraceResult.BytesTraced;
-             C.TraceSteals = TraceResult.Steals;
-             C.TraceOffloads = TraceResult.Offloads;
-             C.TraceSegmentsAcquired = TraceResult.SegmentsAcquired;
-             C.TraceTermScanNanos = TraceResult.TermScanNanos;
-             C.TraceWorkerNanos = std::move(TraceResult.WorkerNanos);
-           }},
-
-          sweepPhase(/*GenerationalEstimate=*/false),
-      }),
-      Cycle, Obs.laneRing(0), verifyHook(/*FullCycle=*/true));
-
-  // runCyclePhases already published Idle; resume the world after it.
-  State.StopWorld.store(false, std::memory_order_seq_cst);
-  return Cycle;
 }

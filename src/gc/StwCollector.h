@@ -15,12 +15,14 @@
 /// collector the maximum stall equals a whole collection, while the
 /// on-the-fly collectors' stalls are zero (modulo allocation throttling).
 ///
-/// Protocol: toggle colors; raise StopWorld; each mutator shades its own
-/// roots at its next cooperate() and parks; blocked mutators' roots are
-/// shaded by the collector; once everyone is accounted for, trace and
-/// sweep run with the world stopped; lower StopWorld.  It reuses the same
-/// Tracer/Sweeper and the Remark 5.1 color-toggle machinery as the DLG
-/// baseline, so the comparison isolates concurrency itself.
+/// Protocol: raise StopWorld; each mutator shades its own roots at its
+/// next cooperate() and parks; blocked mutators' roots are shaded by the
+/// collector; once everyone is accounted for, toggle colors, then trace
+/// and sweep with the world stopped; lower StopWorld.  The cycle is
+/// Collector::runStopTheWorldCycle — the same body the on-the-fly
+/// collectors fall back to in degraded mode — with the same trace and
+/// sweep phases and the Remark 5.1 color toggle as the DLG baseline, so
+/// the comparison isolates concurrency itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,12 +40,11 @@ public:
                GlobalRoots &Roots, const CollectorConfig &Config);
 
 protected:
-  CycleStats runCycle(CycleRequest Kind) override;
-
-private:
-  /// Blocks until every registered mutator is parked-and-shaded for stop
-  /// \p Epoch or blocked (with its roots shaded either way).
-  void waitWorldStopped(uint64_t Epoch);
+  /// Every cycle is the whole-heap stop-the-world body; the kind asked
+  /// for does not matter.
+  CycleStats runCycle(CycleRequest) override {
+    return runStopTheWorldCycle(/*Degraded=*/false);
+  }
 };
 
 } // namespace gengc

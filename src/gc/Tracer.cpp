@@ -18,8 +18,8 @@ using namespace gengc;
 
 void Tracer::setPrefetchDepth(unsigned Depth) {
   if (!PrefetchAvailable)
-    Depth = 0;
-  PrefetchDepth = std::min(Depth, MaxPrefetchDepth);
+    Depth = 1;
+  PrefetchDepth = std::clamp(Depth, 1u, MaxPrefetchDepth);
 }
 
 void Tracer::markBlack(ObjectRef Ref, Color BlackColor, GrayCounters &Counters,
@@ -78,50 +78,42 @@ void Tracer::drainLocal(TraceWorkList *Shared, unsigned Lanes,
     }
   };
 
-  if (PrefetchDepth == 0) {
-    // Historical pop order, no window: GcThreads = 1 with PrefetchDepth = 0
-    // is bit-identical to the pre-segment engine.
-    while (!Stack.empty()) {
+  // Bounded FIFO prefetch window: refs are popped up to PrefetchDepth
+  // ahead and their color byte + header line prefetched on entry, so the
+  // cache misses of the next K objects overlap the tracing of the current
+  // one (memory-level parallelism for pointer chasing).  A window of one
+  // traces each ref as it is popped.
+  ObjectRef Window[MaxPrefetchDepth];
+  unsigned Head = 0, Tail = 0;
+  for (;;) {
+    while (Head - Tail < PrefetchDepth && !Stack.empty()) {
       MaybeOffload();
-      markBlack(Stack.pop(), BlackColor, Counters, R);
+      ObjectRef Next = Stack.pop();
+      prefetchRead(H.colorPrefetchAddress(Next));
+      prefetchRead(H.prefetchAddress(Next));
+      Window[Head++ % MaxPrefetchDepth] = Next;
     }
-  } else {
-    // Bounded FIFO prefetch window: refs are popped up to PrefetchDepth
-    // ahead and their color byte + header line prefetched on entry, so the
-    // cache misses of the next K objects overlap the tracing of the
-    // current one (memory-level parallelism for pointer chasing).
-    ObjectRef Window[MaxPrefetchDepth];
-    unsigned Head = 0, Tail = 0;
-    for (;;) {
-      while (Head - Tail < PrefetchDepth && !Stack.empty()) {
-        MaybeOffload();
-        ObjectRef Next = Stack.pop();
-        prefetchRead(H.colorPrefetchAddress(Next));
-        prefetchRead(H.prefetchAddress(Next));
-        Window[Head++ % MaxPrefetchDepth] = Next;
-      }
-      if (Head == Tail)
-        break;
-      markBlack(Window[Tail++ % MaxPrefetchDepth], BlackColor, Counters, R);
-    }
+    if (Head == Tail)
+      break;
+    markBlack(Window[Tail++ % MaxPrefetchDepth], BlackColor, Counters, R);
   }
   flushCounters(Counters);
 }
 
-void Tracer::drain(Color BlackColor, GrayCounters &Counters, Result &R) {
-  do {
-    drainLocal(/*Shared=*/nullptr, /*Lanes=*/0, BlackColor, Counters, R);
-    // Pick up objects shaded concurrently by mutator write barriers.
-  } while (State.Grays.drainEach([&](ObjectRef Ref) { Stack.push(Ref); }));
-}
-
 void Tracer::drainShared(TraceWorkList &Shared, std::atomic<unsigned> &NumIdle,
                          unsigned Lanes, Color BlackColor,
-                         GrayCounters &Counters, Result &R) {
+                         GrayCounters &Counters, Result &Out) {
+  // Counted on this lane's own stack and stored once at the end: the
+  // lanes' results sit side by side in one array, and a store per mark
+  // into a cache line that another lane also writes halves the trace rate.
+  Result R;
+  // A lone lane has nobody to offload to: it would only steal its own
+  // segment back.
+  TraceWorkList *OffloadTo = Lanes > 1 ? &Shared : nullptr;
   for (;;) {
     // drainLocal leaves the window empty and the counters flushed, so an
     // idle vote below never hides work or statistics from the leader.
-    drainLocal(&Shared, Lanes, BlackColor, Counters, R);
+    drainLocal(OffloadTo, Lanes, BlackColor, Counters, R);
     if (TraceSegment *S = Shared.steal()) {
       if (Obs)
         Obs->instant(ObsEventKind::TraceSteal, nowNanos(), S->Count);
@@ -139,54 +131,11 @@ void Tracer::drainShared(TraceWorkList &Shared, std::atomic<unsigned> &NumIdle,
         NumIdle.fetch_sub(1, std::memory_order_acq_rel);
         break;
       }
-      if (NumIdle.load(std::memory_order_acquire) == Lanes)
+      if (NumIdle.load(std::memory_order_acquire) == Lanes) {
+        Out = R;
         return;
+      }
       std::this_thread::yield();
-    }
-  }
-}
-
-Tracer::Result Tracer::trace(Color BlackColor, GrayCounters &Counters) {
-  Result R;
-  PageTouchTracker &Pages = H.pages();
-
-  // Main trace: everything shaded so far (roots, dirty-card scans) and
-  // everything mutators shade while we run arrives through the gray
-  // buffer.  This is O(objects traced), independent of the heap size —
-  // the property that makes partial collections cheap.
-  State.Grays.drainEach([&](ObjectRef Ref) { Stack.push(Ref); });
-  drain(BlackColor, Counters, R);
-
-  const AtomicByteTable &Colors = H.colors();
-  for (;;) {
-    // Termination, step 1: wait out shades whose buffer enqueue is still
-    // in flight, then re-drain anything they published.
-    while (State.InFlightShades.load(std::memory_order_acquire) != 0)
-      std::this_thread::yield();
-    if (State.Grays.drainEach([&](ObjectRef Ref) { Stack.push(Ref); })) {
-      drain(BlackColor, Counters, R);
-      continue;
-    }
-
-    // Termination, step 2: one verification scan of the color side-table
-    // — "while there is a gray object" made literal.  Normally finds
-    // nothing; word hints skip clean regions eight granules at a time.
-    ++R.Passes;
-    uint64_t ScanStart = nowNanos();
-    bool FoundGray = false;
-    Pages.touchRange(Region::ColorTable, 0, Colors.size());
-    Colors.forEachEntryEqualInRange(
-        0, Colors.size(), uint8_t(Color::Gray), [&](size_t I) {
-          FoundGray = true;
-          // Only object-start granules ever receive a color, so the
-          // granule index converts directly to a reference.
-          markBlack(ObjectRef(I << GranuleShift), BlackColor, Counters, R);
-          drain(BlackColor, Counters, R);
-        });
-    R.TermScanNanos += nowNanos() - ScanStart;
-    if (!FoundGray) {
-      flushCounters(Counters);
-      return R;
     }
   }
 }

@@ -5,23 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The trace stage: "While there is a gray object: pick a gray object x;
-/// MarkBlack(x)" (Figure 2).  The paper leaves the mechanism for finding
-/// gray objects unspecified ("we do not present details of the mechanism
-/// for keeping track of the objects remaining to be traced"); ours combines
-/// a collector-private mark stack for objects the collector shades itself
-/// with fixpoint rescans of the color side-table to pick up objects shaded
-/// concurrently by mutator write barriers.  Because every shade writes the
-/// gray color *before* anything else, a full scan of the color table that
-/// finds no gray object (with an empty stack) proves the trace is complete.
+/// The per-lane engine of the trace stage: "While there is a gray object:
+/// pick a gray object x; MarkBlack(x)" (Figure 2).  The paper leaves the
+/// mechanism for finding gray objects unspecified ("we do not present
+/// details of the mechanism for keeping track of the objects remaining to
+/// be traced"); ours combines collector-private mark stacks for objects
+/// the collector shades itself with the shared gray buffer that mutator
+/// write barriers feed, and a verification scan of the color side-table
+/// that proves no gray object is left.  ParallelTrace.h drives the
+/// protocol; this file is what each lane runs inside it.
 ///
 /// The hot path is packet-structured (DESIGN.md §17): the mark stack is a
 /// chain of pooled TraceSegments, work moves between lanes as O(1) segment
 /// swaps, shade accounting batches into lane-local counters flushed once
-/// per segment, and an optional bounded prefetch window warms the color
-/// byte and header line of upcoming gray refs while the current one is
-/// traced.  Depth 0 bypasses the window entirely and reproduces the
-/// historical pop order exactly.
+/// per segment, and a bounded prefetch window warms the color byte and
+/// header line of upcoming gray refs while the current one is traced.  A
+/// window of one (depth 0 or 1) traces in plain LIFO pop order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,14 +40,14 @@ namespace gengc {
 
 class TraceWorkList;
 
-/// One trace engine.  Historically the singleton owned by a collector; now
-/// a per-worker engine: each GcWorkerPool lane drives its own Tracer with a
-/// private segmented gray stack, coordinating with its siblings only
-/// through the shared TraceWorkList (segment-granularity work stealing)
-/// and the color side-table CASes it already used.  ParallelTrace.h owns
-/// the fan-out; the single-lane trace() below remains the complete,
-/// self-contained single-threaded algorithm.
-class Tracer {
+/// One lane's trace engine: each GcWorkerPool lane drives its own Tracer
+/// with a private segmented gray stack, coordinating with its siblings
+/// only through the shared TraceWorkList (segment-granularity work
+/// stealing) and the color side-table CASes.  ParallelTracer owns the
+/// lanes and the termination protocol.  Cache-line aligned: the lanes'
+/// engines are allocated side by side and their stack and counters are
+/// written on every mark.
+class alignas(64) Tracer {
 public:
   /// Upper bound on the prefetch window (a power of two: the window ring
   /// masks with it).  Also the RuntimeConfig::validate bound.
@@ -59,21 +58,13 @@ public:
     uint64_t ObjectsTraced = 0;
     /// Their storage footprint.
     uint64_t BytesTraced = 0;
-    /// Number of color-table passes until the clean pass.
-    uint64_t Passes = 0;
-    /// Wall time inside the termination verification scans (a subset of
-    /// the total trace time; the sharded-scan speedup shows up here).
-    uint64_t TermScanNanos = 0;
     /// Segments this lane offloaded to the shared work list.
     uint64_t Offloads = 0;
   };
 
-  /// \p SharedPool is the collector-wide segment pool (ParallelTracer's);
-  /// standalone engines (tests) pass nothing and use a private pool.
-  explicit Tracer(Heap &H, CollectorState &S,
-                  TraceSegmentPool *SharedPool = nullptr)
-      : H(H), State(S), Pool(SharedPool ? SharedPool : &OwnedPool),
-        Stack(*Pool) {}
+  /// \p Pool is the collector-wide segment pool (ParallelTracer's).
+  Tracer(Heap &H, CollectorState &S, TraceSegmentPool &Pool)
+      : H(H), State(S), Stack(Pool) {}
 
   /// Enables aging-mode card maintenance during the trace: when MarkBlack
   /// blackens an object whose age equals \p OldestAge (it will be tenured
@@ -96,28 +87,29 @@ public:
 
   /// Sets the prefetch window depth: up to \p Depth gray refs are popped
   /// ahead and their color byte + header line prefetched before they are
-  /// traced.  Clamped to [0, MaxPrefetchDepth]; forced to 0 in builds
-  /// without GENGC_PREFETCH (a window without prefetch is pure overhead).
-  /// Depth 0 traces in the exact historical LIFO order.
+  /// traced.  Clamped to [1, MaxPrefetchDepth] (a window of one traces
+  /// each ref as it is popped); forced to one in builds without
+  /// GENGC_PREFETCH.
   void setPrefetchDepth(unsigned Depth);
 
-  /// Traces to completion.  \p BlackColor is the color that marks a fully
-  /// traced object: Color::Black for the generational collectors, the
-  /// current allocation color for the non-generational baseline (black and
-  /// white toggle, Remark 5.1).  Shades of the sons from the clear color
-  /// are recorded in \p Counters.
-  Result trace(Color BlackColor, GrayCounters &Counters);
+  /// Puts \p S on top of this lane's stack.  Only between traces or from
+  /// the lane itself: the stack is lane-private.
+  void attachSegment(TraceSegment *S) { Stack.attachSegment(S); }
 
-  /// Parallel-lane drain: blackens everything on this engine's stack,
+  /// One lane's drain: blackens everything on this engine's stack,
   /// offloading surplus segments to \p Shared when siblings are hungry and
-  /// stealing segments back when the local stack runs dry.  Returns once
-  /// all \p Lanes engines are idle with the shared list empty (the
-  /// \p NumIdle counter implements the termination consensus).  Color
-  /// transitions go through the same CASes as the single-threaded path, so
-  /// the mutator-graying vs. collector race argument is unchanged.
+  /// stealing segments from it when the local stack runs dry.  Returns
+  /// once all \p Lanes engines are idle with the shared list empty (the
+  /// \p NumIdle counter implements the termination consensus).  With one
+  /// lane there is no sibling, so nothing is offloaded.  \p BlackColor is
+  /// the color that marks a fully traced object: Color::Black for the
+  /// generational collectors, the current allocation color for the
+  /// non-generational ones (black and white toggle, Remark 5.1).  Shades
+  /// of the sons from the clear color are recorded in \p Counters; this
+  /// lane's counts are stored to \p Out on return.
   void drainShared(TraceWorkList &Shared, std::atomic<unsigned> &NumIdle,
                    unsigned Lanes, Color BlackColor, GrayCounters &Counters,
-                   Result &R);
+                   Result &Out);
 
 private:
   /// MarkBlack (Figure 3): shades all sons of \p Ref gray, then colors
@@ -130,10 +122,6 @@ private:
   /// shade counters flushed.
   void drainLocal(TraceWorkList *Shared, unsigned Lanes, Color BlackColor,
                   GrayCounters &Counters, Result &R);
-
-  /// Drains the mark stack, blackening everything on it, then re-drains
-  /// the shared gray buffer until both are empty.
-  void drain(Color BlackColor, GrayCounters &Counters, Result &R);
 
   /// Publishes the batched FromClear counts into \p Counters.  Batching is
   /// statistics-only: termination never reads these counters, so deferring
@@ -153,12 +141,8 @@ private:
   Heap &H;
   CollectorState &State;
   EventRing *Obs = nullptr;
-  /// Private pool backing standalone engines; unused when a shared pool
-  /// was injected.  Declared before Stack, which borrows from it.
-  TraceSegmentPool OwnedPool;
-  TraceSegmentPool *Pool;
   SegmentedGrayStack Stack;
-  unsigned PrefetchDepth = 0;
+  unsigned PrefetchDepth = 1;
   /// Shade accounting batched per segment (see flushCounters).
   uint64_t PendingFromClear = 0;
   uint64_t PendingFromClearBytes = 0;

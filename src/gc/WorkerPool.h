@@ -12,9 +12,9 @@
 ///
 /// The pool exposes "lanes": lane 0 is always the calling (collector)
 /// thread, lanes 1..N-1 are pool threads.  With a single lane no thread is
-/// ever spawned and run() degenerates to a plain call — the GcThreads = 1
-/// configuration is bit-identical to the historical single-threaded
-/// collector, which the determinism tests rely on.
+/// ever spawned and run() degenerates to a plain call, so a phase written
+/// once for N lanes costs no hand-off at GcThreads = 1 and runs there in a
+/// fixed order, which the determinism tests rely on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,8 +79,8 @@ private:
 /// contiguous chunks of \p Chunk items through a shared cursor and invoke
 /// \p Body(Lane, ChunkBegin, ChunkEnd).  With one lane the chunks are
 /// claimed in ascending order by the caller, so the traversal order is
-/// identical to a sequential loop — the parallel phases lean on this for
-/// their GcThreads = 1 determinism guarantee.
+/// that of a sequential loop — the parallel phases lean on this for their
+/// GcThreads = 1 run-to-run determinism.
 template <typename BodyFn>
 void parallelChunks(GcWorkerPool &Pool, size_t Begin, size_t End, size_t Chunk,
                     BodyFn &&Body) {

@@ -106,11 +106,11 @@ struct CollectorState {
   /// cleared.
   std::atomic<bool> StopWorld{false};
 
-  /// Distinguishes consecutive stop-the-world pauses: bumped (after the
-  /// color toggle) each time StopWorld is raised.  A mutator still asleep
-  /// in its park loop from pause N re-shades its roots — under the new
-  /// colors — when it observes epoch N+1, and the collector counts it
-  /// stopped only once the mutator has published the current epoch.
+  /// Distinguishes consecutive stop-the-world pauses: bumped right after
+  /// StopWorld is raised (and before the color toggle).  A mutator still
+  /// asleep in its park loop from pause N re-shades its roots when it
+  /// observes epoch N+1, and the collector counts it stopped only once the
+  /// mutator has published the current epoch.
   /// Without this, back-to-back cycles treat stale parkers as stopped and
   /// sweep their never-reshaded roots.
   std::atomic<uint64_t> StopEpoch{0};
@@ -156,10 +156,15 @@ struct CollectorState {
     return ClearColor.load(std::memory_order_seq_cst);
   }
 
-  /// True while the collector is between the start of trace and the end of
-  /// trace — the write barrier's "Collector is tracing" test.
+  /// The write barrier's "Collector is tracing" test: true from the Mark
+  /// phase to the end of the trace.  A mutator answers the Async handshake
+  /// inside Mark, having shaded its roots; from then on it must shade the
+  /// values it overwrites, or it could load a white object into a local and
+  /// erase the object's last heap reference before the trace starts.
+  /// Mutators still at Sync1/Sync2 take the barrier's sync branch instead.
   bool isTracing() const {
-    return Phase.load(std::memory_order_relaxed) == GcPhase::Trace;
+    GcPhase P = Phase.load(std::memory_order_relaxed);
+    return P == GcPhase::Mark || P == GcPhase::Trace;
   }
 
   /// True while a collection cycle is in progress at all.

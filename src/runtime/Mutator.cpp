@@ -311,9 +311,8 @@ void Mutator::markOwnRoots() {
 }
 
 void Mutator::markOwnRootsForStw() {
-  // Stop-the-world shading must also cover allocation-colored roots: an
-  // object allocated after the toggle but before this thread stopped may be
-  // the only path to clear-colored children (no trace has run yet).
+  // Stop-the-world shading must also cover allocation-colored roots: the
+  // world stops before the color toggle, which makes them clear.
   for (ObjectRef Root : Stack)
     markGrayForStw(H, State, Root, Grays);
 }
@@ -380,8 +379,9 @@ void Mutator::parkForStopTheWorld() {
   // Shade our roots, then publish the stop epoch we shaded for: the
   // collector counts this thread stopped only once it sees the current
   // epoch here.  The shade is redone per epoch because a new pause can
-  // begin (with freshly toggled colors) while this thread is still asleep
-  // from the previous one — a stale shading must never be trusted.
+  // begin (after the previous pause's toggle and trace recolored the heap)
+  // while this thread is still asleep from the previous one — a stale
+  // shading must never be trusted.
   State.ParkedMutators.fetch_add(1, std::memory_order_acq_rel);
   uint64_t Start = nowNanos();
   uint64_t ShadedFor = 0;

@@ -67,9 +67,10 @@ void gengc::markGrayForStw(Heap &H, CollectorState &S, ObjectRef X,
     noteGrayFromClear(H, X, Counters);
     return;
   }
-  // An object allocated between the color toggle and this thread's park
-  // carries the allocation color but has NOT been traced (the trace starts
-  // only after the world stops): shade it so its old children are found.
+  // The stop-the-world cycle shades roots before its color toggle, when
+  // every live object still carries the allocation color (the survivors of
+  // the last trace, or everything after InitFullCollection): the toggle
+  // makes them clear, so only a gray root is sure to be traced.
   shadeGray(H, S, X, S.allocationColor());
 }
 

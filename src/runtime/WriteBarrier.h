@@ -74,9 +74,9 @@ void markGrayClearOnly(Heap &H, CollectorState &S, ObjectRef X,
                        GrayCounters &Counters);
 
 /// Root shade for a stop-the-world park: shades clear-colored AND
-/// allocation-colored roots.  Before the world has stopped, "allocation
-/// color" does not mean "already traced" — a brand-new object can hold the
-/// only path to old clear-colored children, so it must be traced too.
+/// allocation-colored roots.  The park precedes the cycle's color toggle,
+/// which turns every allocation-colored object clear: an allocation-colored
+/// root must be gray by then, or nothing traces it.
 void markGrayForStw(Heap &H, CollectorState &S, ObjectRef X,
                     GrayCounters &Counters);
 

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "core/Runtime.h"
@@ -136,6 +138,67 @@ TEST(Collector, PendingFullDominatesPartial) {
   }
   GcRunStats S = RT.gcStats();
   EXPECT_EQ(S.Cycles.front().Kind, CycleKind::Full);
+}
+
+/// Holds the collector inside the end callback of the first Partial cycle
+/// until released.
+struct PartialGate : GcObserver {
+  void onGcCycleEnd(const CycleStats &Cycle, uint64_t) override {
+    std::unique_lock Locked(Mutex);
+    if (Cycle.Kind != CycleKind::Partial || Released)
+      return;
+    Holding = true;
+    Cv.notify_all();
+    Cv.wait(Locked, [&] { return Released; });
+  }
+  void waitHolding() {
+    std::unique_lock Locked(Mutex);
+    Cv.wait(Locked, [&] { return Holding; });
+  }
+  void release() {
+    std::scoped_lock Locked(Mutex);
+    Released = true;
+    Cv.notify_all();
+  }
+
+  std::mutex Mutex;
+  std::condition_variable Cv;
+  bool Holding = false;
+  bool Released = false;
+};
+
+TEST(Collector, SyncFullRequestedDuringPartialWaitsForWholeHeapCycle) {
+  // A Full requested while a Partial runs must not be satisfied by that
+  // Partial's completion: collectSync returns only after a whole-heap
+  // cycle that began after the request.
+  Runtime RT(manualConfig());
+  PartialGate Gate;
+  RT.addGcObserver(Gate);
+  RT.collector().requestCycle(CycleRequest::Partial);
+  Gate.waitHolding();
+
+  std::atomic<bool> Requesting{false};
+  GcRunStats AtReturn;
+  std::thread Waiter([&] {
+    Requesting = true;
+    RT.collector().collectSync(CycleRequest::Full);
+    AtReturn = RT.collector().statsSnapshot();
+  });
+  while (!Requesting)
+    std::this_thread::yield();
+  // Let the request land while the Partial is still held.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Gate.release();
+  Waiter.join();
+  RT.removeGcObserver(Gate);
+
+  ASSERT_GE(AtReturn.Cycles.size(), 2u);
+  EXPECT_EQ(AtReturn.Cycles[0].Kind, CycleKind::Partial);
+  bool WholeHeapAfter = false;
+  for (size_t I = 1; I < AtReturn.Cycles.size(); ++I)
+    WholeHeapAfter |= AtReturn.Cycles[I].Kind == CycleKind::Full;
+  EXPECT_TRUE(WholeHeapAfter)
+      << "collectSync(Full) returned before the Full cycle completed";
 }
 
 TEST(Collector, LiveEstimateFeedsTrigger) {

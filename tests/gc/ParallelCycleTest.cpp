@@ -41,8 +41,14 @@ RuntimeConfig parallelConfig(CollectorChoice Choice, bool Aging) {
 struct ParallelParam {
   CollectorChoice Choice;
   bool Aging;
+  // gtest shows a parameter it cannot print as its raw bytes, and ctest
+  // names each case by that text.  A zeroed member in place of the padding
+  // before Name keeps uninitialised bytes out of the case names.
+  uint8_t Zero[6] = {};
   const char *Name;
 };
+static_assert(sizeof(ParallelParam) == 8 + sizeof(const char *),
+              "ParallelParam must have no padding before Name");
 
 class ParallelCycleTest : public ::testing::TestWithParam<ParallelParam> {};
 
@@ -178,10 +184,18 @@ TEST_P(ParallelCycleTest, SurvivesMutatorLoadAcrossManyCycles) {
 INSTANTIATE_TEST_SUITE_P(
     Collectors, ParallelCycleTest,
     ::testing::Values(
-        ParallelParam{CollectorChoice::Generational, false, "GenSimple"},
-        ParallelParam{CollectorChoice::Generational, true, "GenAging"},
-        ParallelParam{CollectorChoice::NonGenerational, false, "Dlg"},
-        ParallelParam{CollectorChoice::StopTheWorld, false, "Stw"}),
+        ParallelParam{.Choice = CollectorChoice::Generational,
+                      .Aging = false,
+                      .Name = "GenSimple"},
+        ParallelParam{.Choice = CollectorChoice::Generational,
+                      .Aging = true,
+                      .Name = "GenAging"},
+        ParallelParam{.Choice = CollectorChoice::NonGenerational,
+                      .Aging = false,
+                      .Name = "Dlg"},
+        ParallelParam{.Choice = CollectorChoice::StopTheWorld,
+                      .Aging = false,
+                      .Name = "Stw"}),
     [](const auto &Info) { return std::string(Info.param.Name); });
 
 } // namespace

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "core/Runtime.h"
@@ -151,6 +153,40 @@ TEST(StwCollector, BlockedThreadsAreHandledByCollector) {
   Release.store(true, std::memory_order_release);
   Parked.join();
   Blockee->popRoots(1);
+}
+
+TEST(StwCollector, ColorsToggleOnlyWhileMutatorsAreStopped) {
+  // A mutator that ran on after the color toggle would allocate in the new
+  // allocation color, which the trace treats as black; objects it chained
+  // that way could hide clear-colored ones from the trace.  So no mutator
+  // may see the toggle happen between two of its cooperate() calls.
+  Runtime RT(stwConfig());
+  const std::atomic<uint32_t> &ColorEpoch = RT.state().ColorEpoch;
+  std::atomic<bool> Stop{false};
+  std::atomic<unsigned> TogglesSeenRunning{0};
+  std::thread Worker([&] {
+    auto M = RT.attachMutator();
+    while (!Stop.load(std::memory_order_acquire)) {
+      M->cooperate();
+      uint32_t Before = ColorEpoch.load(std::memory_order_acquire);
+      // Stay out of cooperate() long enough for a cycle to begin.
+      auto Until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(200);
+      while (std::chrono::steady_clock::now() < Until)
+        std::this_thread::yield();
+      if (ColorEpoch.load(std::memory_order_acquire) != Before)
+        TogglesSeenRunning.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  {
+    auto M = RT.attachMutator();
+    for (unsigned Cycle = 0; Cycle < 50; ++Cycle)
+      RT.collector().collectSyncCooperating(CycleRequest::Full, *M);
+  }
+  Stop.store(true, std::memory_order_release);
+  Worker.join();
+  EXPECT_EQ(TogglesSeenRunning.load(), 0u);
 }
 
 } // namespace

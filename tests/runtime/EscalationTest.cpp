@@ -217,10 +217,12 @@ TEST(Escalation, AbortDegradeRecoverKeepsChecksum) {
   ListBuilder Builder;
   std::thread BuilderThread([&] { Builder.run(RT); });
 
-  std::atomic<bool> WedgeDone{false}, WedgeRelease{false};
+  std::atomic<bool> WedgeDone{false}, WedgeRelease{false},
+      WedgeAttached{false};
   std::thread WedgeThread([&] {
     auto M = RT.attachMutator();
     M->allocate(1, 24);
+    WedgeAttached = true;
     // Wedged until the driver has seen the abort land — a fixed sleep is
     // not enough under sanitizer slowdown — then responsive so recovery
     // has something to observe.
@@ -232,7 +234,11 @@ TEST(Escalation, AbortDegradeRecoverKeepsChecksum) {
     }
   });
 
-  while (!Builder.Ready.load())
+  // The wedge must be registered and idle before the first cycle posts
+  // Sync1: a thread that attaches mid-cycle misses the stall, or stalls
+  // only at Async, which the escalation completes for it, and no cycle
+  // then counts it forced.
+  while (!Builder.Ready.load() || !WedgeAttached.load())
     std::this_thread::sleep_for(std::chrono::microseconds(50));
 
   // First cycle against the wedge: the Sync1 wait escalates, the cycle

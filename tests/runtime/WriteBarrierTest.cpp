@@ -40,6 +40,11 @@ struct WriteBarrierTest : ::testing::Test {
     }
   }
 
+  /// The phases in which an Async mutator runs the barrier's "collector is
+  /// tracing" branch: it answers the Async handshake inside Mark, so the
+  /// deletion shade must already be on there.
+  static constexpr GcPhase TracingPhases[] = {GcPhase::Mark, GcPhase::Trace};
+
   size_t cardOf(ObjectRef X, uint32_t Slot) {
     return H.cards().cardIndexFor(refSlotOffset(X, Slot));
   }
@@ -130,15 +135,18 @@ TEST_F(WriteBarrierTest, SimpleAsyncIdleMarksCardOnly) {
 
 TEST_F(WriteBarrierTest, SimpleAsyncTracingShadesOldValueAndMarksCard) {
   State.Barrier.store(BarrierKind::Simple);
-  M.writeRef(A, 0, B);
-  H.cards().clearAll();
-  H.storeColor(B, State.clearColor());
-  State.Phase.store(GcPhase::Trace);
-  M.writeRef(A, 0, C);
-  State.Phase.store(GcPhase::Idle);
-  EXPECT_EQ(H.loadColor(B), Color::Gray) << "overwritten value shaded";
-  EXPECT_NE(H.loadColor(C), Color::Gray) << "new value not shaded in async";
-  EXPECT_TRUE(H.cards().isDirty(cardOf(A, 0)));
+  for (GcPhase Phase : TracingPhases) {
+    SCOPED_TRACE(int(Phase));
+    M.writeRef(A, 0, B);
+    H.cards().clearAll();
+    H.storeColor(B, State.clearColor());
+    State.Phase.store(Phase);
+    M.writeRef(A, 0, C);
+    State.Phase.store(GcPhase::Idle);
+    EXPECT_EQ(H.loadColor(B), Color::Gray) << "overwritten value shaded";
+    EXPECT_NE(H.loadColor(C), Color::Gray) << "new value not shaded in async";
+    EXPECT_TRUE(H.cards().isDirty(cardOf(A, 0)));
+  }
 }
 
 TEST_F(WriteBarrierTest, SimpleSyncShadesBothValuesNoCard) {
@@ -188,12 +196,15 @@ TEST_F(WriteBarrierTest, AgingSyncShadesClearOnlyNoYellowException) {
 
 TEST_F(WriteBarrierTest, AgingTracingShadesOldValue) {
   State.Barrier.store(BarrierKind::Aging);
-  M.writeRef(A, 0, B);
-  H.storeColor(B, State.clearColor());
-  State.Phase.store(GcPhase::Trace);
-  M.writeRef(A, 0, C);
-  State.Phase.store(GcPhase::Idle);
-  EXPECT_EQ(H.loadColor(B), Color::Gray);
+  for (GcPhase Phase : TracingPhases) {
+    SCOPED_TRACE(int(Phase));
+    M.writeRef(A, 0, B);
+    H.storeColor(B, State.clearColor());
+    State.Phase.store(Phase);
+    M.writeRef(A, 0, C);
+    State.Phase.store(GcPhase::Idle);
+    EXPECT_EQ(H.loadColor(B), Color::Gray);
+  }
 }
 
 //===----------------------------------------------------------------------===
@@ -205,11 +216,29 @@ TEST_F(WriteBarrierTest, NonGenNeverMarksCards) {
   advanceTo(HandshakeStatus::Sync1);
   M.writeRef(A, 0, B);
   advanceTo(HandshakeStatus::Async);
-  State.Phase.store(GcPhase::Trace);
-  M.writeRef(A, 0, C);
+  for (GcPhase Phase : TracingPhases) {
+    State.Phase.store(Phase);
+    M.writeRef(A, 0, C);
+  }
   State.Phase.store(GcPhase::Idle);
   M.writeRef(A, 1, B);
   EXPECT_EQ(H.cards().countDirty(), 0u);
+}
+
+TEST_F(WriteBarrierTest, NonGenAsyncTracingShadesOldValue) {
+  State.Barrier.store(BarrierKind::NonGenerational);
+  for (GcPhase Phase : TracingPhases) {
+    SCOPED_TRACE(int(Phase));
+    M.writeRef(A, 0, B);
+    H.storeColor(B, State.clearColor());
+    H.storeColor(C, State.clearColor());
+    State.Phase.store(Phase);
+    M.writeRef(A, 0, C);
+    State.Phase.store(GcPhase::Idle);
+    EXPECT_EQ(H.loadColor(B), Color::Gray) << "overwritten value shaded";
+    EXPECT_EQ(H.loadColor(C), State.clearColor())
+        << "new value not shaded in async";
+  }
 }
 
 TEST_F(WriteBarrierTest, NonGenSyncShadesBothValues) {
